@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json BENCH_recycle.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test race race-kernels chaos serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
+.PHONY: ci docs-gate vet build test perfbench-test race race-kernels chaos serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
 
 # ci is the gate: vet, build everything, the full test suite under
 # the race detector (the obs hot paths are lock-free and the worker
@@ -15,8 +15,11 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # cancellation, drain), one serial pass with GOMAXPROCS=1 to prove
 # nothing depends on real parallelism, and the advisory perf-
 # regression gate over the BENCH_*.json artifacts (fails only on >2x
-# regressions; warns otherwise; skips files with no baseline).
-ci: vet build docs-gate race-kernels race chaos serve-smoke shard-smoke serial bench-diff
+# regressions; warns otherwise; skips files with no baseline), plus
+# the repository benchmark's own tests at test size, so a stepper or
+# solver change that breaks the benchmark's answer and checksum checks
+# fails here rather than in the benchmark run.
+ci: vet build docs-gate race-kernels race chaos serve-smoke shard-smoke serial perfbench-test bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment or
 # a tracked markdown file has a broken relative link — documentation
@@ -32,6 +35,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the benchmark module's tests (perfbench/ is its
+# own Go module, so the root ./... never reaches it): every workload
+# at test size, traced and untraced, with its answer and trajectory-
+# checksum checks.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...

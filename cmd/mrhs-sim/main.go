@@ -55,7 +55,7 @@ func main() {
 		ckpt    = flag.String("ckpt", "", "write a checkpoint to this file after the run")
 		resume  = flag.String("resume", "", "resume from a checkpoint file (overrides -n, -phi, -seed)")
 		xyz     = flag.String("xyz", "", "write an XYZ trajectory (one frame per step) to this file")
-		precond = flag.String("precond", "none", "first-solve preconditioning: none, ic0 (adaptive reuse), jacobi")
+		precond = flag.String("precond", "chunk", "MRHS preconditioning: chunk (IC(0) of each chunk's R_0 on every solve), none (plain CG), jacobi (block-Jacobi first solves, the rest plain)")
 
 		symmetric = flag.Bool("symmetric", false, "multiply through half-storage symmetric extractions (halves matrix traffic; ignored with -nodes)")
 		dedup     = flag.Bool("dedup", false, "compress repeated blocks of each symmetric extraction (requires -symmetric; trajectories stay bitwise-identical)")
@@ -128,20 +128,11 @@ func main() {
 		cfg.Seed = *dynSeed
 	}
 	switch *precond {
+	case "chunk":
 	case "none":
-	case "ic0":
-		ap := &solver.AdaptivePrecond{}
-		cfg.FirstSolve = func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
-			return ap.Solve(a, x, b, opt)
-		}
-		cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner {
-			p, err := solver.NewIC0(a)
-			if err != nil {
-				return nil
-			}
-			return p
-		}
+		cfg.PlainCG = true
 	case "jacobi":
+		cfg.PlainCG = true
 		cfg.FirstSolve = func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
 			opt.Precond = solver.NewBlockJacobi(a)
 			return solver.CG(a, x, b, opt)
@@ -189,8 +180,10 @@ func main() {
 	}
 
 	if *ensemble > 1 {
-		if spec != "" || *nodes > 0 || *precond != "none" || *resume != "" {
-			fail(fmt.Errorf("-ensemble is incompatible with -faults/-chaos, -nodes, -precond, and -resume"))
+		// The ensemble engine runs fused unpreconditioned solves, so
+		// only the default -precond (which it ignores) and none apply.
+		if spec != "" || *nodes > 0 || cfg.FirstSolve != nil || *resume != "" {
+			fail(fmt.Errorf("-ensemble is incompatible with -faults/-chaos, -nodes, -precond jacobi, and -resume"))
 		}
 		runEnsemble(sys, hopt, cfg, *threads, *ensemble, *jitter, *steps, *events)
 		if *obsJSON != "" {

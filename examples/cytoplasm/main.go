@@ -33,7 +33,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := core.Config{Dt: 2, M: 8, Seed: 77}
+		// PlainCG: the paper's iteration counts are unpreconditioned.
+		cfg := core.Config{Dt: 2, M: 8, Seed: 77, PlainCG: true}
 
 		// Original algorithm: every first solve is cold.
 		orig := sd.New(sys.Clone(), hydro.Options{Phi: phi}, cfg, 1)

@@ -37,7 +37,9 @@ func main() {
 		}
 		return sys
 	}
-	cfg := core.Config{Dt: 2, M: 6, Seed: 2026, Tol: 1e-10}
+	// PlainCG: distributed runs do not precondition, so the
+	// single-node reference runs the same solves.
+	cfg := core.Config{Dt: 2, M: 6, Seed: 2026, Tol: 1e-10, PlainCG: true}
 
 	serial := sd.New(mk(), hydro.Options{Phi: phi}, cfg, 1)
 	if err := serial.RunMRHS(steps); err != nil {

@@ -42,6 +42,9 @@ func main() {
 			Dt:   2,  // ps, as in the paper
 			M:    16, // right-hand sides per augmented solve
 			Seed: 2012,
+			// The paper's comparison is unpreconditioned; without this
+			// each MRHS chunk reuses an IC(0) factor of its R_0.
+			PlainCG: true,
 		}, 1)
 		var err error
 		if mrhs {

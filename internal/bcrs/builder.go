@@ -37,6 +37,17 @@ func NewBuilderRect(nbr, nbc int) *Builder {
 	return &Builder{nb: nbr, ncb: nbc}
 }
 
+// Grow reserves room for n more coordinate entries, so an assembly
+// that knows its entry count appends without reallocating.
+func (b *Builder) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	b.rows = append(make([]int32, 0, len(b.rows)+n), b.rows...)
+	b.cols = append(make([]int32, 0, len(b.cols)+n), b.cols...)
+	b.vals = append(make([]float64, 0, len(b.vals)+n*BlockSize), b.vals...)
+}
+
 // NB returns the block dimension of the matrix being built.
 func (b *Builder) NB() int { return b.nb }
 

@@ -48,6 +48,10 @@ func detectSymSIMD() int {
 	return 2
 }
 
+// HasAVX2 reports whether the host and OS support the AVX2 kernels,
+// for packages that carry their own SIMD paths (solver.IC0).
+func HasAVX2() bool { return detectSIMD() > 0 }
+
 func detectSIMD() int {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {

@@ -6,6 +6,9 @@ package bcrs
 // used for every m.
 var simdWidth = 0
 
+// HasAVX2 reports false: non-amd64 builds have no SIMD paths.
+func HasAVX2() bool { return false }
+
 // symSIMDWidth mirrors simdWidth for the symmetric kernels.
 var symSIMDWidth = 0
 

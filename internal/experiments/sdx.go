@@ -31,8 +31,9 @@ func newSim(cfg Config, n int, phi float64, m int) (*sd.Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// PlainCG: the paper's tables count unpreconditioned iterations.
 	sim := sd.New(sys, hydro.Options{Phi: phi}, core.Config{
-		Dt: 2, M: m, Seed: cfg.Seed,
+		Dt: 2, M: m, Seed: cfg.Seed, PlainCG: true,
 	}, cfg.Threads)
 	return sim, nil
 }

@@ -89,13 +89,11 @@ func buildLubOnly(sys *particles.System, opt Options) *bcrs.Matrix {
 	// A zero diagonal block on every row keeps the structure square
 	// and the builder's diagonal bookkeeping trivial.
 	neighbor.ForEachPair(sys.Pos, sys.Box, SearchCutoff(sys, opt), func(p neighbor.Pair) {
-		a1, a2 := sys.Radius[p.I], sys.Radius[p.J]
-		xi := 2 * (p.R - a1 - a2) / (a1 + a2)
-		if xi >= opt.CutoffXi || p.R <= 0 {
+		xi, ok := gap(sys, opt, p)
+		if !ok {
 			return
 		}
-		d := p.D.Scale(1 / p.R)
-		a := PairTensor(a1, a2, xi, d, opt)
+		a := PairTensor(sys.Radius[p.I], sys.Radius[p.J], xi, p.D.Scale(1/p.R), opt)
 		if a.Zero3() {
 			return
 		}

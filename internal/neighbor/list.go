@@ -36,10 +36,18 @@ type List struct {
 	// configuration; indices only — geometry is recomputed per query.
 	candidates [][2]int32
 
-	// scratch for the parallel candidate filter, reused across queries:
-	// the minimum-image displacement and squared distance per candidate.
-	scratchD  []blas.Vec3
-	scratchR2 []float64
+	// reach, when set (SetReach), prunes the candidates to the pairs
+	// that can come within reach[i]+reach[j] of each other.
+	reach []float64
+
+	// wrapped holds the query positions mapped into the box, once per
+	// particle, reused across queries.
+	wrapped []blas.Vec3
+
+	// hits holds the pairs within the cutoff of each fixed candidate
+	// chunk of the parallel filter, reused across queries. Only those
+	// pairs keep their geometry, not every candidate.
+	hits [][]Pair
 
 	// Rebuilds and Reuses count list constructions and avoided ones,
 	// for tests and instrumentation.
@@ -60,6 +68,22 @@ func NewList(box, cutoff, skin float64) *List {
 
 // Cutoff returns the interaction cutoff the list serves.
 func (l *List) Cutoff() float64 { return l.cutoff }
+
+// SetReach gives each particle an interaction reach: pair (i, j) can
+// only matter to the caller while its separation is below
+// reach[i]+reach[j] (for spheres, a radius-proportional range). The
+// list then keeps as candidates only the pairs that can come within
+// that range before the next rebuild, instead of every pair within the
+// uniform cutoff — for a polydisperse packing, whose cutoff is sized
+// for the largest spheres, a small fraction. Queries still report
+// every pair closer than min(cutoff, reach[i]+reach[j]), in the same
+// order as without reach; pairs beyond their reach but within the
+// cutoff may or may not be reported, so the caller filters them. The
+// next query rebuilds the candidates.
+func (l *List) SetReach(reach []float64) {
+	l.reach = append(l.reach[:0], reach...)
+	l.refPos = nil
+}
 
 // valid reports whether the cached candidates still cover every pair
 // within cutoff of pos: true when the maximum single-particle drift
@@ -89,14 +113,28 @@ func (l *List) valid(pos []blas.Vec3) bool {
 
 // rebuild refreshes the candidate set from pos.
 func (l *List) rebuild(pos []blas.Vec3) {
+	if l.reach != nil && len(l.reach) != len(pos) {
+		panic("neighbor: reach length differs from the particle count")
+	}
 	l.refPos = append(l.refPos[:0], pos...)
 	l.candidates = l.candidates[:0]
 	ForEachPair(pos, l.box, l.cutoff+l.skin, func(p Pair) {
+		// Drift below skin/2 per particle moves a pair by less than
+		// skin, so a pair beyond reach+skin now stays beyond reach
+		// until the next rebuild; the relative slack absorbs rounding.
+		if l.reach != nil && p.R >= (l.reach[p.I]+l.reach[p.J]+l.skin)*(1+1e-9) {
+			return
+		}
 		l.candidates = append(l.candidates, [2]int32{int32(p.I), int32(p.J)})
 	})
 	l.Rebuilds++
 	obsRebuilds.Inc()
 }
+
+// filterChunk is the number of candidates per chunk of the parallel
+// filter. The chunking depends only on the candidate count, so the
+// emission order never depends on the thread count.
+const filterChunk = 8192
 
 // ForEach visits every pair of pos with minimum-image distance below
 // the cutoff, reusing the cached candidates when the configuration
@@ -108,27 +146,39 @@ func (l *List) ForEach(pos []blas.Vec3, fn func(Pair)) {
 		l.Reuses++
 		obsReuses.Inc()
 	}
-	cutoff2 := l.cutoff * l.cutoff
-	nc := len(l.candidates)
-	if cap(l.scratchD) < nc {
-		l.scratchD = make([]blas.Vec3, nc)
-		l.scratchR2 = make([]float64, nc)
+	n := len(pos)
+	if cap(l.wrapped) < n {
+		l.wrapped = make([]blas.Vec3, n)
 	}
-	dist, r2s := l.scratchD[:nc], l.scratchR2[:nc]
-	// Geometry in parallel (disjoint writes per candidate), emission
-	// serial in candidate order — callers see the same pair sequence
-	// regardless of thread count.
-	parallel.Default().ForOp("neighbor_filter", nc, binGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			c := l.candidates[k]
-			d := MinImage(Wrap(pos[c[1]], l.box).Sub(Wrap(pos[c[0]], l.box)), l.box)
-			dist[k] = d
-			r2s[k] = d.Dot(d)
+	w := l.wrapped[:n]
+	parallel.Default().ForOp("neighbor_wrap", n, binGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w[i] = Wrap(pos[i], l.box)
 		}
 	})
-	for k, c := range l.candidates {
-		if r2 := r2s[k]; r2 < cutoff2 {
-			fn(Pair{I: int(c[0]), J: int(c[1]), D: dist[k], R: math.Sqrt(r2)})
+	cutoff2 := l.cutoff * l.cutoff
+	nc := len(l.candidates)
+	chunks := (nc + filterChunk - 1) / filterChunk
+	for len(l.hits) < chunks {
+		l.hits = append(l.hits, nil)
+	}
+	// Geometry in parallel (each chunk appends the pairs within the
+	// cutoff to its own buffer), emission serial in chunk order — callers see the
+	// same pair sequence regardless of thread count.
+	parallel.Default().DoOp("neighbor_filter", chunks, func(c int) {
+		lo, hi := c*filterChunk, min((c+1)*filterChunk, nc)
+		hits := l.hits[c][:0]
+		for _, cand := range l.candidates[lo:hi] {
+			d := MinImage(w[cand[1]].Sub(w[cand[0]]), l.box)
+			if r2 := d.Dot(d); r2 < cutoff2 {
+				hits = append(hits, Pair{I: int(cand[0]), J: int(cand[1]), D: d, R: math.Sqrt(r2)})
+			}
+		}
+		l.hits[c] = hits
+	})
+	for _, hits := range l.hits[:chunks] {
+		for _, p := range hits {
+			fn(p)
 		}
 	}
 }

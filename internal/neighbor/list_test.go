@@ -122,3 +122,50 @@ func TestListDefaultSkin(t *testing.T) {
 		t.Fatalf("Cutoff = %v", l.Cutoff())
 	}
 }
+
+// With per-particle reach, every query must still report each pair
+// closer than min(cutoff, reach[i]+reach[j]), in direct-search order,
+// across reuses and rebuilds — while caching far fewer candidates.
+func TestListReachCoversEveryReachablePair(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	box, cutoff, skin := 12.0, 2.0, 0.3
+	pos := randPositions(rng, 400, box)
+	reach := make([]float64, len(pos))
+	for i := range reach {
+		reach[i] = 0.2 + 0.8*rng.Float64() // pair reach 0.4..2.0
+	}
+	within := func(p Pair) bool { return p.R < reach[p.I]+reach[p.J] }
+	l := NewList(box, cutoff, skin)
+	l.SetReach(reach)
+	full := NewList(box, cutoff, skin)
+	for step := 0; step < 8; step++ {
+		var want, got []Pair
+		full.ForEach(pos, func(p Pair) {
+			if within(p) {
+				want = append(want, p)
+			}
+		})
+		l.ForEach(pos, func(p Pair) {
+			if within(p) {
+				got = append(got, p)
+			}
+		})
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d reachable pairs, want %d", step, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("step %d: pair %d = %+v, want %+v", step, k, got[k], want[k])
+			}
+		}
+		for i := range pos {
+			pos[i] = Wrap(pos[i].Add(blas.Vec3{0.04 * rng.NormFloat64(), 0.04 * rng.NormFloat64(), 0.04 * rng.NormFloat64()}), box)
+		}
+	}
+	if l.Reuses == 0 || l.Rebuilds < 2 {
+		t.Fatalf("want both reuses and rebuilds: %d reuses, %d rebuilds", l.Reuses, l.Rebuilds)
+	}
+	if len(l.candidates) >= len(full.candidates) {
+		t.Fatalf("reach kept %d candidates, the full list %d", len(l.candidates), len(full.candidates))
+	}
+}

@@ -83,3 +83,19 @@ func TestListForEachExactAcrossThreadCounts(t *testing.T) {
 		}
 	}
 }
+
+// Once its per-chunk buffers have grown, a reused query allocates
+// nothing that scales with the candidate count, at any thread count.
+func TestListForEachReusesBuffers(t *testing.T) {
+	defer parallel.SetThreads(1)
+	const n, box, cutoff = 3000, 20.0, 1.5
+	pos := randomPositions(n, box, 23)
+	for _, threads := range []int{1, 2, 4} {
+		parallel.SetThreads(threads)
+		l := NewList(box, cutoff, 0)
+		l.ForEach(pos, func(Pair) {})
+		if allocs := testing.AllocsPerRun(3, func() { l.ForEach(pos, func(Pair) {}) }); allocs > 8 {
+			t.Fatalf("threads=%d: a reused query allocated %.0f times", threads, allocs)
+		}
+	}
+}

@@ -51,10 +51,9 @@ func NewConf(sys *particles.System, opt hydro.Options, threads int) *Conf {
 	parallel.SetThreads(threads)
 	opt = opt.WithDefaults()
 	cutoff := hydro.SearchCutoff(sys, opt)
-	return &Conf{
-		Sys: sys, Opt: opt, Threads: threads,
-		list: neighbor.NewList(sys.Box, cutoff, 0.05*cutoff),
-	}
+	list := neighbor.NewList(sys.Box, cutoff, 0.05*cutoff)
+	list.SetReach(hydro.Reach(sys, opt))
+	return &Conf{Sys: sys, Opt: opt, Threads: threads, list: list}
 }
 
 // Dim returns 3N.

@@ -23,7 +23,8 @@ type BlockStats struct {
 
 // BlockCG solves A*X = B for SPD A and a block of m right-hand sides
 // simultaneously, starting from the guesses in X (O'Leary's block
-// conjugate gradient method, preconditioned when opt.Precond is set).
+// conjugate gradient method, preconditioned when opt.Precond is set;
+// a BlockPreconditioner applies to all m columns in one call).
 // Every iteration performs exactly one GSPMV with m vectors plus
 // small m-by-m solves — this is the kernel economics the MRHS
 // algorithm is built on: the augmented system of Algorithm 2, step 3,
@@ -109,15 +110,8 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	applyPrecond := func() {}
 	if opt.Precond != nil {
 		z = multivec.New(n, m)
-		rcol := make([]float64, n)
-		zcol := make([]float64, n)
-		applyPrecond = func() {
-			for j := 0; j < m; j++ {
-				r.Col(j, rcol)
-				opt.Precond.Apply(zcol, rcol)
-				z.SetCol(j, zcol)
-			}
-		}
+		bp := blockPrecond(opt.Precond)
+		applyPrecond = func() { bp.ApplyMulti(z, r) }
 		applyPrecond()
 	}
 

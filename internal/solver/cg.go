@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/multivec"
 	"repro/internal/parallel"
 )
 
@@ -76,6 +77,42 @@ func (o Options) withDefaults(n int) Options {
 // Preconditioner applies z = M^{-1} r.
 type Preconditioner interface {
 	Apply(z, r []float64)
+}
+
+// BlockPreconditioner applies M^{-1} to every column of a block of
+// vectors in one call, so an implementation can read its operator
+// once for all m columns (IC0 does). Column j of Z must equal Apply on
+// column j of R.
+type BlockPreconditioner interface {
+	ApplyMulti(z, r *multivec.MultiVec)
+}
+
+// blockPrecond returns p's block form: p itself when it has one,
+// otherwise a column-by-column loop over Apply.
+func blockPrecond(p Preconditioner) BlockPreconditioner {
+	if bp, ok := p.(BlockPreconditioner); ok {
+		return bp
+	}
+	return &columnPrecond{p: p}
+}
+
+// columnPrecond is the block form of a single-vector preconditioner:
+// it copies each column out, applies, and copies it back.
+type columnPrecond struct {
+	p          Preconditioner
+	rcol, zcol []float64
+}
+
+func (c *columnPrecond) ApplyMulti(z, r *multivec.MultiVec) {
+	if len(c.rcol) != r.N {
+		c.rcol = make([]float64, r.N)
+		c.zcol = make([]float64, r.N)
+	}
+	for j := 0; j < r.M; j++ {
+		r.Col(j, c.rcol)
+		c.p.Apply(c.zcol, c.rcol)
+		z.SetCol(j, c.zcol)
+	}
 }
 
 // CG solves A*x = b for SPD A by (preconditioned) conjugate

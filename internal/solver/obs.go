@@ -1,6 +1,11 @@
 package solver
 
-import "repro/internal/obs"
+import (
+	"strconv"
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // Solver observability: every solve reports its iteration count,
 // matrix-multiply count, convergence outcome, and final relative
@@ -48,7 +53,23 @@ var (
 	deflDisables      = obs.Default.Counter("solver_deflation_disabled_total")
 	deflBasis         = obs.Default.Gauge("solver_deflation_basis_vectors")
 	deflSaved         = obs.Default.Gauge("solver_deflation_iters_saved_est")
+
+	// Preconditioner cost: wall seconds spent factoring, and applying
+	// per column count m (one observation per apply, whatever m is).
+	precondFactorSeconds = obs.Default.FloatCounter("solver_precond_factor_seconds_total")
+	precondApplyCache    sync.Map // m -> *obs.FloatCounter
 )
+
+// precondApplySeconds returns the solver_precond_apply_seconds_total
+// counter for applies to m columns.
+func precondApplySeconds(m int) *obs.FloatCounter {
+	if c, ok := precondApplyCache.Load(m); ok {
+		return c.(*obs.FloatCounter)
+	}
+	c := obs.Default.FloatCounter(obs.Label("solver_precond_apply_seconds_total", "m", strconv.Itoa(m)))
+	precondApplyCache.Store(m, c)
+	return c
+}
 
 // traceSolve adds one solve's outcome to the request trace carried
 // by its Options context (the serve pipeline threads per-request
