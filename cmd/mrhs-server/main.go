@@ -9,6 +9,7 @@
 //
 //	mrhs-server -addr :8707 -matrix random -nb 2000 -bpr 6
 //	mrhs-server -matrix sd -n 500 -phi 0.30 -mode fused
+//	mrhs-server -matrix sd -n 1000 -phi 0.5 -precond none  # plain CG, the paper's iteration counts
 //	mrhs-server -shards 4 -threads 4           # RCB shard engines, threads split across shards
 //	mrhs-server -shards 4 -shard-faults chaos  # chaos-inject the halo transport
 //	curl -s localhost:8707/v1/solve -d '{"seed":1,"omit_x":true}'
@@ -61,6 +62,7 @@ func main() {
 		symmetric  = flag.Bool("symmetric", false, "serve through half-storage symmetric GSPMV (halves matrix traffic)")
 		dedup      = flag.Bool("dedup", false, "compress the symmetric operator's repeated blocks (requires -symmetric; bit-exact)")
 		mode       = flag.String("mode", "fused", "batch solver: fused (bitwise-identical) or block")
+		precond    = flag.String("precond", "ic0", "preconditioner: ic0 (one IC(0) factor of the matrix, applied to every batch; -symmetric serves plain CG) or none (plain CG, the paper's iteration counts)")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
@@ -116,16 +118,23 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Tol:         *tol,
-		MaxIter:     *maxIter,
-		Mode:        serve.Mode(*mode),
-		MaxBatch:    *maxBatch,
-		QueueCap:    *queueCap,
+		Tol:             *tol,
+		MaxIter:         *maxIter,
+		Mode:            serve.Mode(*mode),
+		MaxBatch:        *maxBatch,
+		QueueCap:        *queueCap,
 		MaxWait:         *maxWait,
 		WaitFactor:      *waitFactor,
 		TraceSample:     *traceSample,
 		DefaultEnsemble: *ensemble,
 		RecycleK:        *recycle,
+	}
+	switch *precond {
+	case "ic0":
+	case "none":
+		cfg.PlainCG = true
+	default:
+		fail(fmt.Errorf("unknown -precond %q (want ic0 or none)", *precond))
 	}
 	if *recycle > 0 {
 		fmt.Printf("recycle: cross-batch deflation basis k=%d armed\n", *recycle)
@@ -197,12 +206,14 @@ func main() {
 		fmt.Printf("traces: appending JSONL to %s\n", *traceJSONL)
 	}
 
-	s, err := serve.Start(*addr, serve.NewEngine(op, cfg))
+	eng := serve.NewEngine(op, cfg)
+	s, err := serve.Start(*addr, eng)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("mrhs-server: n=%d nnzb=%d mode=%s max-batch=%d threads=%d symmetric=%v on http://%s\n",
-		a.N(), a.NNZB(), cfg.Mode, cfg.MaxBatch, *threads, *symmetric, s.Addr())
+	pc, factor := eng.Precond()
+	fmt.Printf("mrhs-server: n=%d nnzb=%d mode=%s max-batch=%d threads=%d symmetric=%v precond=%s (factor %.1f ms) on http://%s\n",
+		a.N(), a.NNZB(), cfg.Mode, cfg.MaxBatch, *threads, *symmetric, pc, float64(factor)/float64(time.Millisecond), s.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -273,7 +273,9 @@ func runServeSweep(nb int, bpr float64, mseed uint64, tol float64, maxIter int, 
 	baseRPS := float64(baseN) / time.Since(t0).Seconds()
 	fmt.Printf("\nserve sweep: n=%d, baseline %.1f solves/s, k=%d\n", n, baseRPS, k)
 
-	cfg := serve.Config{Tol: tol, MaxIter: maxIter}
+	// PlainCG: recycling's savings are measured on the plain-CG
+	// solves of the baseline above.
+	cfg := serve.Config{Tol: tol, MaxIter: maxIter, PlainCG: true}
 	if useModel {
 		cfg.Model = &model.GSPMV{
 			Machine: perf.CalibratedMachine(),

@@ -182,9 +182,12 @@ func main() {
 	fmt.Printf("baseline: %d sequential m=1 solves in %.2fs -> %.1f solves/s (%.0f iters/solve)\n",
 		base.Solves, base.ElapsedSec, base.ThroughputRPS, base.MeanIters)
 
+	// PlainCG: batching is measured against the plain-CG baseline
+	// above, so the engine must not precondition either.
 	cfg := serve.Config{
 		Tol:        *tol,
 		MaxIter:    *maxIter,
+		PlainCG:    true,
 		Mode:       serve.Mode(*mode),
 		MaxBatch:   *maxBatch,
 		MaxWait:    *maxWait,

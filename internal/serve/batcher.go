@@ -405,28 +405,44 @@ func (e *Engine) blockPack(w int) (b, x *multivec.MultiVec) {
 	return b, x
 }
 
+// Bounds on a request's own tolerance. Below minTol no solve gains
+// accuracy, only iterations; at 1 or above the zero guess would
+// already count as converged, so maxTol is the float64 just below 1.
+const (
+	minTol = 1e-15
+	maxTol = 1 - 0x1p-53
+)
+
+// budget resolves a request's tolerance and iteration budget: zero
+// selects the engine default, and a client value is clamped to
+// [minTol, maxTol] and to at most Config.MaxIter, so no request can
+// hold the single dispatcher — and its batch-mates — past an engine-
+// default solve. Negative and NaN values never get here (checkBudget).
+func (e *Engine) budget(r Req) (tol float64, maxIter int) {
+	tol, maxIter = r.Tol, r.MaxIter
+	if tol == 0 {
+		tol = e.cfg.Tol
+	} else {
+		tol = min(max(tol, minTol), maxTol)
+	}
+	if maxIter == 0 || maxIter > e.cfg.MaxIter {
+		maxIter = e.cfg.MaxIter
+	}
+	return tol, maxIter
+}
+
 // colOptions builds the solver options for one of a call's requests.
 func (e *Engine) colOptions(c *call, r Req) solver.Options {
-	opt := solver.Options{
-		Tol:     r.Tol,
-		MaxIter: r.MaxIter,
-		Precond: e.cfg.Precond,
-		Ctx:     c.ctx,
-	}
-	if opt.Tol == 0 {
-		opt.Tol = e.cfg.Tol
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = e.cfg.MaxIter
-	}
-	return opt
+	tol, maxIter := e.budget(r)
+	return solver.Options{Tol: tol, MaxIter: maxIter, Precond: e.cfg.Precond, Ctx: c.ctx}
 }
 
 // solveBlock dispatches one BlockCGWithFallback over the batch,
 // zero-padding the right-hand-side block to the kernel width, and
 // splits the block outcome back into per-request stats. Per-request
 // tolerances are honored conservatively: the block solve runs at the
-// tightest tolerance in the batch.
+// tightest tolerance in the batch (clamped as in budget) and the
+// engine's full iteration budget.
 func (e *Engine) solveBlock(live []*call, q, kernelM int) ([]solver.Stats, [][]float64) {
 	b, x := e.blockPack(kernelM)
 	bs := e.bsBuf[:0]
@@ -434,12 +450,8 @@ func (e *Engine) solveBlock(live []*call, q, kernelM int) ([]solver.Stats, [][]f
 	for _, c := range live {
 		for _, r := range c.reqs {
 			bs = append(bs, r.B)
-			if r.Tol != 0 && (opt.Tol == 0 || r.Tol < opt.Tol) {
-				opt.Tol = r.Tol
-			}
-			if r.MaxIter != 0 && r.MaxIter > opt.MaxIter {
-				opt.MaxIter = r.MaxIter
-			}
+			tol, _ := e.budget(r) // budgets cap at MaxIter, which opt already has
+			opt.Tol = min(opt.Tol, tol)
 		}
 	}
 	multivec.PackColumns(b, bs) // fully overwrites b, zero-filling padding

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -22,16 +23,27 @@ func mustUnmarshal(t *testing.T, data []byte, v any) {
 func ptrU64(v uint64) *uint64 { return &v }
 
 // TestServeEnsembleBitwiseEquivalence: a K-member SubmitEnsemble must
-// answer each member bitwise-identically to solving it alone with
-// plain CG — the fused dispatch is invisible to results, and its
-// kernel width is at least K even with no other traffic.
+// answer each member bitwise-identically to solving it alone with the
+// engine's preconditioner (its IC(0) factor by default, applied to all
+// members in one pass; none under PlainCG) — the fused dispatch is
+// invisible to results, and its kernel width is at least K even with
+// no other traffic.
 func TestServeEnsembleBitwiseEquivalence(t *testing.T) {
+	for _, k := range []int{5, 8} {
+		for _, plain := range []bool{false, true} {
+			t.Run(fmt.Sprintf("k=%d/plain=%v", k, plain), func(t *testing.T) {
+				testEnsembleBitwise(t, k, plain)
+			})
+		}
+	}
+}
+
+func testEnsembleBitwise(t *testing.T, k int, plain bool) {
 	a := testMatrix()
 	n := a.N()
-	const k = 5
 	const tol = 1e-8
 
-	e := NewEngine(a, Config{Tol: tol, MaxIter: 500})
+	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, PlainCG: plain})
 	defer e.Close(context.Background())
 
 	reqs := make([]Req, k)
@@ -46,8 +58,7 @@ func TestServeEnsembleBitwiseEquivalence(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(rs), k)
 	}
 	for i, r := range rs {
-		ref := make([]float64, n)
-		st := solver.CG(a, ref, testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500})
+		ref, st := loneSolve(e, a, testRHS(n, uint64(300+i)), tol, 500)
 		if !r.Stats.Converged || !st.Converged {
 			t.Fatalf("member %d converged=%v ref=%v", i, r.Stats.Converged, st.Converged)
 		}
@@ -104,8 +115,8 @@ func TestServeEnsembleAtomicAdmission(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			reqs := []Req{
-				{B: testRHS(n, uint64(2 * i))},
-				{B: testRHS(n, uint64(2*i + 1))},
+				{B: testRHS(n, uint64(2*i))},
+				{B: testRHS(n, uint64(2*i+1))},
 			}
 			results[i], errs[i] = e.SubmitEnsemble(context.Background(), reqs)
 		}(i)

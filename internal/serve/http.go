@@ -119,6 +119,14 @@ type Info struct {
 	WaitFactor float64 `json:"wait_factor"`
 	Tol        float64 `json:"tol"`
 	HasModel   bool    `json:"has_model"`
+	// Precond names the preconditioner every dispatch uses: "ic0"
+	// (the engine's own IC(0) factor, the default for a plain matrix
+	// operator, or a Config.Precond IC(0)), "custom" (another
+	// Config.Precond) or "none" (plain CG: PlainCG, a half-storage or
+	// otherwise unfactorable operator, or a factorization breakdown).
+	// PrecondFactorMS is the time the engine spent factoring its own.
+	Precond         string  `json:"precond"`
+	PrecondFactorMS float64 `json:"precond_factor_ms"`
 	// Symmetric reports a half-storage (bcrs.SymMatrix) operator:
 	// every batched GSPMV moves half the matrix bytes.
 	Symmetric bool `json:"symmetric"`
@@ -178,10 +186,12 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 //	GET  /metrics.json JSON snapshot of obs.Default
 //	GET  /debug/traces recent + slowest request traces; ?id= fetches one
 //
-// Solver outcomes map onto status codes: 400 for malformed bodies or
-// dimension mismatches, 429 when the admission queue sheds, 503 while
-// draining, 504 when the request's deadline expired mid-queue or
-// mid-solve.
+// Solver outcomes map onto status codes: 400 for malformed bodies,
+// dimension mismatches or negative tol/max_iter/timeout_ms, 413 for a
+// body larger than its explicit vectors could need (bodyLimit), 429
+// when the admission queue sheds, 503 while draining, 504 when the
+// request's deadline expired mid-queue or mid-solve. A client's tol and
+// max_iter are clamped to the engine's bounds (Engine.budget).
 //
 // Both solve endpoints accept and echo X-Request-ID (see
 // RequestIDHeader) and record a full pipeline trace under that ID:
@@ -197,8 +207,12 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var sr SolveRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if code, err := decodeBody(w, r, bodyLimit(e, 1), &sr); err != nil {
+			writeErr(w, code, err)
+			return
+		}
+		if err := checkFields(sr.Tol, sr.MaxIter, sr.TimeoutMS); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		b, err := rhsOf(e, sr.B, sr.Seed)
@@ -241,8 +255,12 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var sr SDStepRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if code, err := decodeBody(w, r, bodyLimit(e, 1), &sr); err != nil {
+			writeErr(w, code, err)
+			return
+		}
+		if err := checkFields(sr.Tol, sr.MaxIter, sr.TimeoutMS); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if sr.Dt <= 0 {
@@ -293,8 +311,12 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var er EnsembleRequest
-		if err := json.NewDecoder(r.Body).Decode(&er); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if code, err := decodeBody(w, r, bodyLimit(e, e.cfg.MaxBatch), &er); err != nil {
+			writeErr(w, code, err)
+			return
+		}
+		if err := checkFields(er.Tol, er.MaxIter, er.TimeoutMS); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		bs, err := ensembleRHS(e, er)
@@ -371,15 +393,18 @@ func Handler(e *Engine) http.Handler {
 
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
 		cfg := e.Config()
+		precond, factorTime := e.Precond()
 		info := Info{
-			N:          e.N(),
-			Mode:       cfg.Mode,
-			MaxBatch:   cfg.MaxBatch,
-			QueueCap:   cfg.QueueCap,
-			MaxWaitMS:  float64(cfg.MaxWait) / float64(time.Millisecond),
-			WaitFactor: cfg.WaitFactor,
-			Tol:        cfg.Tol,
+			N:               e.N(),
+			Mode:            cfg.Mode,
+			MaxBatch:        cfg.MaxBatch,
+			QueueCap:        cfg.QueueCap,
+			MaxWaitMS:       float64(cfg.MaxWait) / float64(time.Millisecond),
+			WaitFactor:      cfg.WaitFactor,
+			Tol:             cfg.Tol,
 			HasModel:        cfg.Model != nil,
+			Precond:         precond,
+			PrecondFactorMS: float64(factorTime) / float64(time.Millisecond),
 			Symmetric:       e.Symmetric(),
 			DedupRatio:      e.DedupRatio(),
 			MaxEnsemble:     cfg.MaxBatch,
@@ -401,6 +426,45 @@ func Handler(e *Engine) http.Handler {
 	})
 	mux.Handle("/debug/traces", obs.TracesHandler(e.cfg.Tracer))
 	return mux
+}
+
+// Request bodies are bounded by what a legitimate one can hold: up to
+// maxNumberBytes per element of each explicit vector (a float64 in
+// JSON takes at most 24 characters plus a separator) and bodySlack
+// for everything else.
+const (
+	maxNumberBytes = 32
+	bodySlack      = 64 << 10
+)
+
+// bodyLimit returns the body-size bound for a request carrying up to
+// vectors explicit right-hand sides of the engine's dimension.
+func bodyLimit(e *Engine, vectors int) int64 {
+	return int64(vectors)*int64(e.N())*maxNumberBytes + bodySlack
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into
+// v, answering the status to report on failure: 413 for an oversized
+// body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body exceeds %d bytes", limit)
+		}
+		return http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err)
+	}
+	return 0, nil
+}
+
+// checkFields rejects negative (or NaN) solver and timeout fields
+// before any right-hand side is built.
+func checkFields(tol float64, maxIter, timeoutMS int) error {
+	if timeoutMS < 0 {
+		return fmt.Errorf("%w: timeout_ms must be non-negative, got %d", ErrBadRequest, timeoutMS)
+	}
+	return checkBudget(tol, maxIter)
 }
 
 // ensembleRHS resolves an EnsembleRequest's member right-hand sides:

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bcrs"
-	"repro/internal/solver"
 )
 
 func startTestServer(t *testing.T, cfg Config) *Server {
@@ -52,7 +51,8 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 // TestServeHTTPSolve round-trips a solve over HTTP and checks the
-// answer is bitwise-identical to a local unbatched CG.
+// answer is bitwise-identical to a local unbatched solve with the
+// engine's preconditioner.
 func TestServeHTTPSolve(t *testing.T) {
 	const tol = 1e-8
 	s := startTestServer(t, Config{Tol: tol, MaxIter: 500})
@@ -61,8 +61,7 @@ func TestServeHTTPSolve(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
 	b := testRHS(n, 42)
-	ref := make([]float64, n)
-	refSt := solver.CG(a, ref, b, solver.Options{Tol: tol, MaxIter: 500})
+	ref, refSt := loneSolve(s.Engine, a, b, tol, 500)
 
 	resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: b})
 	if resp.StatusCode != http.StatusOK {
@@ -126,8 +125,7 @@ func TestServeHTTPSDStep(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
 	f := testRHS(n, 7)
-	ref := make([]float64, n)
-	solver.CG(a, ref, f, solver.Options{Tol: tol, MaxIter: 500})
+	ref, _ := loneSolve(s.Engine, a, f, tol, 500)
 
 	const dt = 0.01
 	resp, data := postJSON(t, base+"/v1/sdstep", SDStepRequest{F: f, Dt: dt})
@@ -194,11 +192,14 @@ func TestServeHTTPErrors(t *testing.T) {
 	// A 1ms deadline on a hopeless tolerance must come back 504. This
 	// needs a system big enough that the recursive residual cannot
 	// underflow to exact zero (converging the unreachable tolerance)
-	// before the deadline fires, so it gets its own server.
+	// before the deadline fires, so it gets its own server. A client's
+	// tol and max_iter are clamped to the engine's, so the hopeless
+	// budget is the engine's own; PlainCG keeps IC(0) from cutting
+	// the solve short.
 	big := bcrs.Random(bcrs.RandomOptions{NB: 1500, BlocksPerRow: 8, Seed: 6})
-	bs := startTestServerMatrix(t, big, Config{Tol: 1e-8, MaxIter: 500})
+	bs := startTestServerMatrix(t, big, Config{Tol: 1e-300, MaxIter: 1 << 30, PlainCG: true})
 	resp, _ = postJSON(t, "http://"+bs.Addr()+"/v1/solve", SolveRequest{
-		B: testRHS(big.N(), 2), Tol: 1e-300, MaxIter: 1 << 30, TimeoutMS: 1,
+		B: testRHS(big.N(), 2), TimeoutMS: 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("deadline expiry = %d, want 504", resp.StatusCode)
@@ -291,8 +292,7 @@ func TestServeHTTPConcurrentMixed(t *testing.T) {
 	const nreq = 10
 	refs := make([][]float64, nreq)
 	for i := range refs {
-		refs[i] = make([]float64, n)
-		solver.CG(a, refs[i], testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500})
+		refs[i], _ = loneSolve(s.Engine, a, testRHS(n, uint64(300+i)), tol, 500)
 	}
 
 	type out struct {

@@ -17,6 +17,9 @@ var (
 	canceledQueued = obs.Default.Counter("serve_canceled_in_queue_total")
 	nonConverged   = obs.Default.Counter("serve_nonconverged_total")
 	shardFailed    = obs.Default.Counter("serve_shard_failures_total")
+	// precondFallback counts engines whose IC(0) factorization broke
+	// down, so they serve plain CG instead.
+	precondFallback = obs.Default.Counter("serve_precond_fallback_total")
 	// recycleCorrected counts right-hand sides whose zero guess was
 	// Galerkin-corrected from the cross-batch deflation basis before
 	// the dispatch's solve; the solver-side solver_deflation_* family

@@ -46,7 +46,9 @@ func TestServeRecycleCrossBatchWarmStart(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
 	const tol = 1e-8
-	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, RecycleK: 8, TraceSample: -1})
+	// PlainCG: the claim is about iterations recycling saves on the
+	// unpreconditioned solve; IC(0) leaves a handful to save.
+	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, RecycleK: 8, TraceSample: -1, PlainCG: true})
 	defer e.Close(context.Background())
 
 	const nreq = 10
@@ -131,8 +133,10 @@ func TestServeRecycleBlockMode(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
 	const tol = 1e-8
+	// PlainCG: as in the fused warm-start test, the claim is an
+	// iteration saving on the unpreconditioned solve.
 	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, RecycleK: 8,
-		Mode: ModeBlock, TraceSample: -1})
+		Mode: ModeBlock, TraceSample: -1, PlainCG: true})
 	defer e.Close(context.Background())
 
 	var first, last int
@@ -165,7 +169,10 @@ func TestServeRecycleBlockMode(t *testing.T) {
 // fleet mid-run; the next dispatch must drop the basis built against
 // the old layout (generation check) and keep answering correctly.
 func TestServeRecycleShardInvalidation(t *testing.T) {
-	cfg := Config{Tol: 1e-8, MaxIter: 800, Shards: 2, RecycleK: 4, TraceSample: -1}
+	// PlainCG: the crash rule fires at shard 1's 40th multiply, which
+	// must fall mid-run with dispatches still to come; unpreconditioned
+	// solves take enough multiplies to put it there.
+	cfg := Config{Tol: 1e-8, MaxIter: 800, Shards: 2, RecycleK: 4, TraceSample: -1, PlainCG: true}
 	cfg.ShardOpts.Faults = mustPlan(t, "crash:node=1,at=40").NewInjector(3)
 	cfg.ShardOpts.Retry = fastRetry(1)
 	a := testMatrix()
@@ -206,7 +213,7 @@ func TestServeRecycleInfo(t *testing.T) {
 	n := s.Engine.N()
 
 	for i := 0; i < 4; i++ {
-		resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: similarRHS(n, 800 + i), OmitX: true})
+		resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: similarRHS(n, 800+i), OmitX: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, data)
 		}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +26,10 @@ var (
 	// ErrDraining means the engine is shutting down and refuses new
 	// work.
 	ErrDraining = errors.New("serve: draining, not accepting requests")
-	// ErrBadRequest means the right-hand side had the wrong dimension.
-	ErrBadRequest = errors.New("serve: right-hand side dimension mismatch")
+	// ErrBadRequest means a request field was invalid: a right-hand
+	// side of the wrong dimension, or a negative or NaN tolerance or
+	// iteration budget. Returned errors wrap it with the detail.
+	ErrBadRequest = errors.New("serve: bad request")
 	// ErrTooWide means an ensemble submission had more members than
 	// MaxBatch, so it could never be solved in one fused dispatch.
 	ErrTooWide = errors.New("serve: ensemble wider than max batch")
@@ -54,11 +58,27 @@ const (
 // Config parameterizes an Engine.
 type Config struct {
 	// Tol and MaxIter are the default solver options for requests
-	// that do not override them.
+	// that do not override them. MaxIter is also the cap on a
+	// request's own budget (default 10*N), so no one request can hold
+	// the dispatcher longer than an engine-default solve.
 	Tol     float64
 	MaxIter int
-	// Precond, if non-nil, preconditions every solve.
+	// Precond, if non-nil, preconditions every solve. Left nil, the
+	// engine factors its own: when the operator is a plain
+	// *bcrs.Matrix, NewEngine takes one IC(0) factor of it
+	// (solver.NewIC0) — before any Shards partition, which leaves the
+	// matrix and so the factor unchanged — and every fused and block
+	// dispatch uses it. Fused batches share it, so MultiCG applies it
+	// to all active columns in one pass; each column stays bitwise-
+	// identical to a lone CG with the same factor. Half-storage
+	// (bcrs.SymMatrix) and other operators are not factored and serve
+	// plain CG, as does an engine whose factorization breaks down
+	// (counted by serve_precond_fallback_total).
 	Precond solver.Preconditioner
+	// PlainCG stops the engine from factoring its own preconditioner,
+	// reproducing the unpreconditioned solves (as core.Config.PlainCG
+	// does for the stepper). A Precond given explicitly still applies.
+	PlainCG bool
 	// Mode selects the batch solver; default ModeFused.
 	Mode Mode
 	// MaxBatch caps the right-hand sides coalesced into one dispatch
@@ -249,6 +269,10 @@ type Engine struct {
 	bsBuf   [][]float64
 	optsBuf []solver.Options
 
+	// factorTime is what the engine spent factoring its own
+	// preconditioner (0 when it did not).
+	factorTime time.Duration
+
 	// Cross-batch recycling state, dispatcher-owned like the scratch
 	// above (Stats() reads are the one cross-goroutine window, via
 	// atomics inside the recycler). fleetGen tracks the shard topology
@@ -262,12 +286,23 @@ type Engine struct {
 // NewEngine starts an engine serving solves against op. Close it to
 // drain.
 //
+// Unless Config.PlainCG or Config.Precond says otherwise, a plain
+// *bcrs.Matrix operator is factored once into the IC(0)
+// preconditioner every dispatch uses (see Config.Precond).
+//
 // With Config.Shards >= 1 the operator must be a plain *bcrs.Matrix;
 // NewEngine partitions it into a shard.Fleet it owns (and closes on
 // drain), so every dispatched solve's multiplies route across the
 // shard engines and gather back bitwise-deterministically.
 func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	if cfg.MaxIter == 0 {
+		cfg.MaxIter = 10 * op.N() // the solver's own default, made explicit to cap requests
+	}
+	var factorTime time.Duration
+	if cfg.Precond == nil {
+		cfg.Precond, factorTime = engineFactor(op, cfg.PlainCG)
+	}
 	var fleet *shard.Fleet
 	if cfg.Shards >= 1 {
 		a, ok := op.(*bcrs.Matrix)
@@ -284,22 +319,54 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		op = f
 	}
 	e := &Engine{
-		op:        op,
-		fleet:     fleet,
-		n:         op.N(),
-		cfg:       cfg,
-		queue:     make(chan *call, cfg.QueueCap),
-		done:      make(chan struct{}),
-		itersEWMA: cfg.SeedIters,
-		ws:        solver.NewMultiCGWorkspace(),
-		packs:     map[int][2]*multivec.MultiVec{},
-		rec:       solver.NewRecycler(solver.RecycleConfig{K: cfg.RecycleK, Model: cfg.Model}),
+		op:         op,
+		fleet:      fleet,
+		n:          op.N(),
+		cfg:        cfg,
+		queue:      make(chan *call, cfg.QueueCap),
+		done:       make(chan struct{}),
+		itersEWMA:  cfg.SeedIters,
+		ws:         solver.NewMultiCGWorkspace(),
+		packs:      map[int][2]*multivec.MultiVec{},
+		rec:        solver.NewRecycler(solver.RecycleConfig{K: cfg.RecycleK, Model: cfg.Model}),
+		factorTime: factorTime,
 	}
 	if fleet != nil {
 		e.fleetGen = fleet.Gen()
 	}
 	go e.run()
 	return e
+}
+
+// engineFactor factors the engine's own IC(0) preconditioner from a
+// plain matrix operator, returning nil (serve plain CG) under PlainCG,
+// for any other operator, or when the factorization breaks down.
+func engineFactor(op solver.BlockOperator, plain bool) (solver.Preconditioner, time.Duration) {
+	a, ok := op.(*bcrs.Matrix)
+	if plain || !ok {
+		return nil, 0
+	}
+	t0 := time.Now()
+	ic, err := solver.NewIC0(a)
+	if err != nil {
+		precondFallback.Inc()
+		return nil, 0
+	}
+	return ic, time.Since(t0)
+}
+
+// Precond reports the preconditioner every dispatch uses — "ic0",
+// "custom" (a non-IC(0) Config.Precond) or "none" — and how long the
+// engine spent factoring its own.
+func (e *Engine) Precond() (string, time.Duration) {
+	switch e.cfg.Precond.(type) {
+	case nil:
+		return "none", e.factorTime
+	case *solver.IC0:
+		return "ic0", e.factorTime
+	default:
+		return "custom", e.factorTime
+	}
 }
 
 // RecycleStats snapshots the engine's cross-batch recycler (zero when
@@ -405,7 +472,10 @@ func (e *Engine) SubmitEnsemble(ctx context.Context, reqs []Req) ([]Result, erro
 func (e *Engine) submit(ctx context.Context, reqs []Req) ([]Result, error) {
 	for _, r := range reqs {
 		if len(r.B) != e.n {
-			return nil, ErrBadRequest
+			return nil, fmt.Errorf("%w: right-hand side has length %d, want %d", ErrBadRequest, len(r.B), e.n)
+		}
+		if err := checkBudget(r.Tol, r.MaxIter); err != nil {
+			return nil, err
 		}
 	}
 	e.mu.Lock()
@@ -460,6 +530,19 @@ func (e *Engine) submit(ctx context.Context, reqs []Req) ([]Result, error) {
 		c.finishTrace("canceled", ErrCanceled)
 		return nil, ErrCanceled
 	}
+}
+
+// checkBudget rejects a tolerance or iteration budget no solve can
+// honour: negative or NaN. (Zero selects the engine default; values
+// past the engine's bounds are clamped at dispatch, see colOptions.)
+func checkBudget(tol float64, maxIter int) error {
+	if tol < 0 || math.IsNaN(tol) {
+		return fmt.Errorf("%w: tol must be a non-negative number, got %v", ErrBadRequest, tol)
+	}
+	if maxIter < 0 {
+		return fmt.Errorf("%w: max_iter must be non-negative, got %d", ErrBadRequest, maxIter)
+	}
+	return nil
 }
 
 // firstErr returns the first per-member error of a result set, for

@@ -17,6 +17,15 @@ func testMatrix() *bcrs.Matrix {
 	return bcrs.Random(bcrs.RandomOptions{NB: 150, BlocksPerRow: 6, Seed: 3})
 }
 
+// loneSolve solves A*x = b alone through solver.CG with the engine's
+// preconditioner (its own IC(0) factor by default, nil under PlainCG):
+// the reference every batched answer must match bitwise.
+func loneSolve(e *Engine, a solver.Operator, b []float64, tol float64, maxIter int) ([]float64, solver.Stats) {
+	x := make([]float64, a.N())
+	st := solver.CG(a, x, b, solver.Options{Tol: tol, MaxIter: maxIter, Precond: e.Config().Precond})
+	return x, st
+}
+
 func testRHS(n int, seed uint64) []float64 {
 	b := make([]float64, n)
 	s := rng.New(seed)
@@ -44,29 +53,38 @@ func (s *sleepyOp) Mul(y, x *multivec.MultiVec) {
 
 // TestServeBatchedBitwiseEquivalence is the acceptance test: concurrent
 // requests coalesced into multi-RHS batches must produce solutions
-// bitwise-identical to solving each request alone with plain CG at the
-// same thread count.
+// bitwise-identical to solving each request alone at the same thread
+// count — with the engine's IC(0) factor by default, and with plain CG
+// under PlainCG (which is what the unpreconditioned engine answered).
 func TestServeBatchedBitwiseEquivalence(t *testing.T) {
+	for _, plain := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ic0", true: "plain"}[plain], func(t *testing.T) {
+			testBatchedBitwise(t, plain)
+		})
+	}
+}
+
+func testBatchedBitwise(t *testing.T, plain bool) {
 	a := testMatrix()
 	n := a.N()
 	const nreq = 12
 	const tol = 1e-8
 
+	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, MaxWait: 50 * time.Millisecond, PlainCG: plain})
+	defer e.Close(context.Background())
+	if _, ok := e.Config().Precond.(*solver.IC0); ok == plain {
+		t.Fatalf("PlainCG=%v but engine preconditioner is %T", plain, e.Config().Precond)
+	}
+
 	// Unbatched references, solved one at a time.
 	refs := make([][]float64, nreq)
 	refStats := make([]solver.Stats, nreq)
 	for i := range refs {
-		b := testRHS(n, uint64(100+i))
-		x := make([]float64, n)
-		refStats[i] = solver.CG(a, x, b, solver.Options{Tol: tol, MaxIter: 500})
+		refs[i], refStats[i] = loneSolve(e, a, testRHS(n, uint64(100+i)), tol, 500)
 		if !refStats[i].Converged {
 			t.Fatalf("reference CG %d did not converge", i)
 		}
-		refs[i] = x
 	}
-
-	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, MaxWait: 50 * time.Millisecond})
-	defer e.Close(context.Background())
 
 	results := make([]Result, nreq)
 	errs := make([]error, nreq)
@@ -75,7 +93,7 @@ func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(100 + i))})
+			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(100+i))})
 		}(i)
 	}
 	wg.Wait()
@@ -263,7 +281,7 @@ func TestServeBlockMode(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(200 + i))})
+			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(200+i))})
 		}(i)
 	}
 	wg.Wait()

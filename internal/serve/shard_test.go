@@ -42,9 +42,18 @@ func mustPlan(t *testing.T, spec string) *faults.Plan {
 // TestServeShardSingleBitwise: the acceptance gate for the sharded
 // route — an engine with Shards=1 routes every multiply through the
 // full split/halo/gather path yet answers bitwise-identically to the
-// unsharded engine.
+// unsharded engine, both preconditioned by their own IC(0) factor of
+// the unpartitioned matrix (the default) and both under PlainCG.
 func TestServeShardSingleBitwise(t *testing.T) {
-	cfg := Config{Tol: 1e-8, MaxIter: 500, TraceSample: -1}
+	for _, plainCG := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ic0", true: "plain"}[plainCG], func(t *testing.T) {
+			testShardSingleBitwise(t, plainCG)
+		})
+	}
+}
+
+func testShardSingleBitwise(t *testing.T, plainCG bool) {
+	cfg := Config{Tol: 1e-8, MaxIter: 500, TraceSample: -1, PlainCG: plainCG}
 	plain := NewEngine(testMatrix(), cfg)
 	shardCfg := cfg
 	shardCfg.Shards = 1
@@ -55,6 +64,12 @@ func TestServeShardSingleBitwise(t *testing.T) {
 		plain.Close(ctx)
 		sharded.Close(ctx)
 	}()
+	want := map[bool]string{false: "ic0", true: "none"}[plainCG]
+	for _, e := range []*Engine{plain, sharded} {
+		if got, _ := e.Precond(); got != want {
+			t.Fatalf("engine preconditioner %q, want %q", got, want)
+		}
+	}
 
 	n := plain.N()
 	for i := 0; i < 3; i++ {

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"reflect"
+
 	"repro/internal/blas"
 	"repro/internal/multivec"
 	"repro/internal/parallel"
@@ -42,9 +44,14 @@ func KernelCeil(q int) int {
 // what CG(a, x_j, b_j, opts[j]) alone would produce — the property
 // the serving layer's batched-vs-unbatched equivalence test pins down.
 //
-// opts[j] applies to column j (tolerance, iteration budget, shared
-// preconditioner, per-request cancellation context). xs[j] supplies
-// the initial guess and receives the solution.
+// opts[j] applies to column j (tolerance, iteration budget,
+// preconditioner, per-request cancellation context). When every
+// column names the same preconditioner and it has a block form
+// (BlockPreconditioner, as IC0 does), the still-active residuals are
+// packed and preconditioned in one ApplyMulti per iteration, so the
+// factor is read once for all of them the way the matrix is; each
+// column still receives exactly what Apply would give it. xs[j]
+// supplies the initial guess and receives the solution.
 func MultiCG(a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
 	return MultiCGWith(nil, a, xs, bs, opts)
 }
@@ -180,6 +187,38 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 		// column's own iteration count, not the batch's.
 		traceSolve(c.opt, c.st)
 	}
+	// precondition sets z = M^{-1} r on the given columns, which all
+	// have a preconditioner. A shared block preconditioner takes them
+	// in one ApplyMulti, its pack buffers borrowed from the GSPMV pair
+	// of the current width (>= len(cs), and dead between the unpack of
+	// A*p and the next pack).
+	bp := sharedBlockPrecond(opts)
+	var rv, zv multivec.MultiVec
+	rs, zs := make([][]float64, 0, q), make([][]float64, 0, q)
+	precondition := func(cs []*col) {
+		if len(cs) == 0 {
+			return
+		}
+		if bp == nil || len(cs) == 1 {
+			for _, c := range cs {
+				c.opt.Precond.Apply(c.z, c.r)
+			}
+			return
+		}
+		k := len(cs)
+		rv = multivec.MultiVec{N: n, M: k, Data: px.Data[:n*k]}
+		zv = multivec.MultiVec{N: n, M: k, Data: py.Data[:n*k]}
+		rs, zs = rs[:0], zs[:0]
+		for _, c := range cs {
+			rs = append(rs, c.r)
+			zs = append(zs, c.z)
+		}
+		multivec.PackColumns(&rv, rs)
+		bp.ApplyMulti(&zv, &rv)
+		multivec.UnpackColumns(zs, &zv)
+	}
+
+	var pending []*col // active columns awaiting z = M^{-1} r
 	for _, c := range cols {
 		c.st.MatMuls = 1
 		blas.Sub(c.r, c.b, c.r)
@@ -199,13 +238,16 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 		c.z = c.r
 		if c.opt.Precond != nil {
 			c.z = ws.vec()
-			c.opt.Precond.Apply(c.z, c.r)
+			pending = append(pending, c)
 		}
+		active = append(active, c)
+	}
+	precondition(pending)
+	for _, c := range active {
 		c.p = ws.vec()
 		copy(c.p, c.z)
 		c.rz = blas.Dot(c.r, c.z)
 		c.ap = ws.vec()
-		active = append(active, c)
 	}
 
 	pcols := make([][]float64, 0, q)
@@ -247,7 +289,11 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 		mulColumns(a, py, px, ids)
 		multivec.UnpackColumns(apcols, py)
 
+		// Each column's CG step is split at the preconditioner so the
+		// columns still running can share one block apply; the per-
+		// column arithmetic and its order are CG's.
 		live = active[:0]
+		pending = pending[:0]
 		for _, c := range active {
 			c.st.MatMuls++
 			alpha := c.rz / blas.Dot(c.p, c.ap)
@@ -265,8 +311,13 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 				continue
 			}
 			if c.opt.Precond != nil {
-				c.opt.Precond.Apply(c.z, c.r)
+				pending = append(pending, c)
 			}
+			live = append(live, c)
+		}
+		active = live
+		precondition(pending)
+		for _, c := range active {
 			rzNew := blas.Dot(c.r, c.z)
 			beta := rzNew / c.rz
 			c.rz = rzNew
@@ -278,9 +329,24 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 					p[i] = z[i] + beta*p[i]
 				}
 			})
-			live = append(live, c)
 		}
-		active = live
 	}
 	return stats
+}
+
+// sharedBlockPrecond returns the block form of the preconditioner
+// every column names, or nil when the columns do not all share one
+// (by pointer identity) or it applies a column at a time.
+func sharedBlockPrecond(opts []Options) BlockPreconditioner {
+	p := opts[0].Precond
+	bp, ok := p.(BlockPreconditioner)
+	if !ok || reflect.TypeOf(p).Kind() != reflect.Pointer {
+		return nil
+	}
+	for _, o := range opts[1:] {
+		if o.Precond != p {
+			return nil
+		}
+	}
+	return bp
 }
